@@ -36,11 +36,49 @@ struct Workspace {
 
 thread_local Workspace t_ws;
 
+/// Accumulator rows per dense block: about 1 MB of doubles, whatever the
+/// output width.
+constexpr std::int64_t kDenseBlockScalars = std::int64_t{1} << 17;
+
+/// Per-thread map from A's column k to its bucket in the current dense
+/// block, cleared by epoch so a block never pays O(a.num_cols). Small
+/// (a.num_cols entries), so it is kept across calls like `Workspace`.
+struct BucketMap {
+  std::vector<std::uint64_t> seen;  // epoch at which k last joined a block's keys
+  std::vector<ordinal_t> slot_of;   // bucket of k in the current block
+  std::uint64_t epoch{0};
+
+  void ensure(ordinal_t ncols_a) {
+    if (seen.size() < static_cast<std::size_t>(ncols_a)) {
+      seen.assign(static_cast<std::size_t>(ncols_a), 0);
+      slot_of.resize(static_cast<std::size_t>(ncols_a));
+      epoch = 0;
+    }
+  }
+};
+
+thread_local BucketMap t_buckets;
+
+/// Scratch of one chunk's dense blocks: up to `kDenseBlockScalars / nc`
+/// output rows accumulated side by side, and the block's A entries
+/// bucketed by k. It holds megabytes, so it lives for one product only
+/// instead of staying pinned in every thread's heap.
+struct DenseBlock {
+  std::vector<scalar_t> acc;         // rows × nc accumulators
+  std::vector<unsigned char> hit;    // rows × nc structural flags
+  std::vector<ordinal_t> keys;       // the block's distinct k, ascending
+  std::vector<offset_t> bucket_end;  // bucket d = [end[d-1], end[d])
+  std::vector<ordinal_t> item_row;   // block-local row of each bucketed entry
+  std::vector<scalar_t> item_val;    // its A value
+};
+
 std::atomic<std::int64_t> g_rows_traversed{0};
 
 /// Equal-flop chunking cost: prefix of `1 + Σ_{k ∈ A.row(i)} deg_B(k)` —
-/// the exact inner-product work of output row `i`. Only built when the
-/// active schedule consults costs.
+/// the exact inner-product work of output row `i`. Built whenever the
+/// product may fork: besides balancing EdgeBalanced chunks, its total lets
+/// `balanced_chunks` fork a short but heavy product (a few hundred dense
+/// coarse rows) under every schedule.
 std::vector<offset_t> product_cost_prefix(GraphView a, const offset_t* b_row_map) {
   std::vector<offset_t> cost(static_cast<std::size_t>(a.num_rows) + 1);
   par::parallel_for(a.num_rows, [&](ordinal_t i) {
@@ -62,6 +100,124 @@ struct Arena {
   std::vector<scalar_t> vals;
 };
 
+/// Row `i` of A·B takes the dense path when its flop count
+/// Σ_{k ∈ A.row(i)} deg_B(k) reaches the output width (so an O(nc)
+/// accumulator costs no more than its flops) and its A entries are
+/// strictly ascending (the CRS invariant, which the block's ascending-k
+/// sweep relies on for the row-wise summation order).
+bool dense_row(const CrsMatrix& a, const CrsMatrix& b, ordinal_t i) {
+  offset_t flops = 0;
+  ordinal_t prev = -1;
+  for (ordinal_t k : a.row(i)) {
+    if (k <= prev) return false;
+    prev = k;
+    flops += b.row_map[k + 1] - b.row_map[k];
+  }
+  return flops > 0 && flops >= b.num_cols;
+}
+
+/// Dense-path product of A rows `[r0, r1)` (all `dense_row`), appended to
+/// `ar` in row order with `row_len[i]` set.
+///
+/// Each accumulator starts at −0.0, the exact additive identity
+/// (−0.0 + x == x bitwise for every x, +0.0 included), so adding every
+/// product reproduces the stamp path's "first product assigns, the rest
+/// add" bit for bit. The block's A entries are bucketed by k (entry order
+/// kept) and the distinct k are swept in ascending order, so B's row k is
+/// streamed once per block instead of once per referencing row, while each
+/// output still receives its products in the row's own (ascending-k)
+/// order. Rows are emitted by a column scan: sorted without a sort.
+void dense_block_product(const CrsMatrix& a, const CrsMatrix& b, ordinal_t r0, ordinal_t r1,
+                         DenseBlock& ws, Arena& ar, offset_t* row_len) {
+  BucketMap& map = t_buckets;
+  map.ensure(a.num_cols);
+  const std::size_t nc = static_cast<std::size_t>(b.num_cols);
+  const std::size_t rows = static_cast<std::size_t>(r1 - r0);
+  const offset_t e0 = a.row_map[r0];
+  const offset_t e1 = a.row_map[r1];
+
+  // Distinct k of the block, ascending, and their bucket numbers.
+  ++map.epoch;
+  ws.keys.clear();
+  for (offset_t ja = e0; ja < e1; ++ja) {
+    const std::size_t k = static_cast<std::size_t>(a.entries[static_cast<std::size_t>(ja)]);
+    if (map.seen[k] != map.epoch) {
+      map.seen[k] = map.epoch;
+      ws.keys.push_back(static_cast<ordinal_t>(k));
+    }
+  }
+  std::sort(ws.keys.begin(), ws.keys.end());
+  const std::size_t nkeys = ws.keys.size();
+  for (std::size_t d = 0; d < nkeys; ++d) {
+    map.slot_of[static_cast<std::size_t>(ws.keys[d])] = static_cast<ordinal_t>(d);
+  }
+
+  // Counting sort of the block's entries into their k buckets, stable in
+  // entry order (rows ascending).
+  ws.bucket_end.assign(nkeys + 1, 0);
+  for (offset_t ja = e0; ja < e1; ++ja) {
+    const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];
+    ++ws.bucket_end[static_cast<std::size_t>(map.slot_of[static_cast<std::size_t>(k)]) + 1];
+  }
+  for (std::size_t d = 0; d < nkeys; ++d) ws.bucket_end[d + 1] += ws.bucket_end[d];
+  ws.item_row.resize(static_cast<std::size_t>(e1 - e0));
+  ws.item_val.resize(static_cast<std::size_t>(e1 - e0));
+  for (ordinal_t i = r0; i < r1; ++i) {
+    for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
+      const std::size_t slot = static_cast<std::size_t>(
+          map.slot_of[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(ja)])]);
+      const std::size_t pos = static_cast<std::size_t>(ws.bucket_end[slot]++);
+      ws.item_row[pos] = i - r0;
+      ws.item_val[pos] = a.values[static_cast<std::size_t>(ja)];
+    }
+  }
+  // The placement pass advanced bucket d's cursor to its end; bucket d now
+  // spans [bucket_end[d-1], bucket_end[d]) with bucket_end[-1] = 0.
+
+  ws.acc.assign(rows * nc, -0.0);
+  ws.hit.assign(rows * nc, 0);
+  const ordinal_t* b_cols = b.entries.data();
+  const scalar_t* b_vals = b.values.data();
+  offset_t begin = 0;
+  for (std::size_t d = 0; d < nkeys; ++d) {
+    const ordinal_t k = ws.keys[d];
+    const offset_t jb0 = b.row_map[k];
+    const offset_t jb1 = b.row_map[k + 1];
+    const offset_t end = ws.bucket_end[d];
+    for (offset_t it = begin; it < end; ++it) {
+      const std::size_t row = static_cast<std::size_t>(ws.item_row[static_cast<std::size_t>(it)]);
+      const scalar_t av = ws.item_val[static_cast<std::size_t>(it)];
+      scalar_t* acc = ws.acc.data() + row * nc;
+      unsigned char* hit = ws.hit.data() + row * nc;
+      for (offset_t jb = jb0; jb < jb1; ++jb) {
+        const std::size_t j = static_cast<std::size_t>(b_cols[jb]);
+        acc[j] += av * b_vals[jb];
+        hit[j] = 1;
+      }
+    }
+    begin = end;
+  }
+
+  for (std::size_t row = 0; row < rows; ++row) {
+    const scalar_t* acc = ws.acc.data() + row * nc;
+    const unsigned char* hit = ws.hit.data() + row * nc;
+    std::size_t len = 0;
+    for (std::size_t j = 0; j < nc; ++j) len += hit[j];
+    const std::size_t base = ar.cols.size();
+    ar.cols.resize(base + len);
+    ar.vals.resize(base + len);
+    ordinal_t* cols = ar.cols.data() + base;
+    scalar_t* vals = ar.vals.data() + base;
+    for (std::size_t j = 0; j < nc; ++j) {
+      if (hit[j]) {
+        *cols++ = static_cast<ordinal_t>(j);
+        *vals++ = acc[j];
+      }
+    }
+    row_len[row] = static_cast<offset_t>(len);
+  }
+}
+
 }  // namespace
 
 CrsGraph spgemm_symbolic(GraphView a, GraphView b) {
@@ -73,8 +229,9 @@ CrsGraph spgemm_symbolic(GraphView a, GraphView b) {
   c.row_map.assign(static_cast<std::size_t>(a.num_rows) + 1, 0);
   if (a.num_rows == 0) return c;
 
-  const std::vector<offset_t> cost =
-      par::schedule_uses_costs() ? product_cost_prefix(a, b.row_map) : std::vector<offset_t>{};
+  const std::vector<offset_t> cost = par::Execution::is_parallel()
+                                         ? product_cost_prefix(a, b.row_map)
+                                         : std::vector<offset_t>{};
   const offset_t* cost_ptr = cost.empty() ? nullptr : cost.data();
 
   std::vector<Arena> arenas(static_cast<std::size_t>(par::balanced_chunk_count()));
@@ -132,7 +289,7 @@ CrsMatrix spgemm(const CrsMatrix& a, const CrsMatrix& b) {
   c.row_map.assign(static_cast<std::size_t>(a.num_rows) + 1, 0);
   if (a.num_rows == 0) return c;
 
-  const std::vector<offset_t> cost = par::schedule_uses_costs()
+  const std::vector<offset_t> cost = par::Execution::is_parallel()
                                          ? product_cost_prefix(GraphView(a), b.row_map.data())
                                          : std::vector<offset_t>{};
   const offset_t* cost_ptr = cost.empty() ? nullptr : cost.data();
@@ -142,14 +299,39 @@ CrsMatrix spgemm(const CrsMatrix& a, const CrsMatrix& b) {
   std::vector<offset_t> arena_off(static_cast<std::size_t>(a.num_rows));
 
   // The single traversal. The accumulation order within a row is fixed by
-  // the entry order of A and B (never by scheduling), and columns are
-  // emitted sorted, so entries *and values* are bit-deterministic for any
-  // chunking.
+  // the entry order of A and B (never by scheduling or by the path a row
+  // takes), and columns are emitted sorted, so entries *and values* are
+  // bit-deterministic for any chunking. Runs of consecutive dense rows are
+  // cut into blocks of `block_rows` (never across a chunk boundary); the
+  // remaining rows take the stamp path.
+  const ordinal_t block_rows = static_cast<ordinal_t>(
+      std::max<std::int64_t>(1, kDenseBlockScalars / std::max<ordinal_t>(b.num_cols, 1)));
   par::balanced_chunks(a.num_rows, cost_ptr, [&](int chunk, ordinal_t lo, ordinal_t hi) {
     Arena& ar = arenas[static_cast<std::size_t>(chunk)];
     Workspace& ws = t_ws;
     ws.ensure(b.num_cols);
-    for (ordinal_t i = lo; i < hi; ++i) {
+    // A dense row emits at most nc entries, and in practice nearly nc.
+    // Reserving that much up front keeps the arena from regrowing (and
+    // leaving freed copies in the heap) while a dense product writes its
+    // 100+ MB output; sparse rows still grow it geometrically.
+    std::size_t dense_rows = 0;
+    for (ordinal_t i = lo; i < hi; ++i) dense_rows += dense_row(a, b, i) ? 1 : 0;
+    ar.cols.reserve(dense_rows * static_cast<std::size_t>(b.num_cols));
+    ar.vals.reserve(dense_rows * static_cast<std::size_t>(b.num_cols));
+    DenseBlock block;
+    for (ordinal_t i = lo; i < hi;) {
+      if (dense_row(a, b, i)) {
+        ordinal_t end = i + 1;
+        while (end < hi && end - i < block_rows && dense_row(a, b, end)) ++end;
+        offset_t off = static_cast<offset_t>(ar.cols.size());
+        dense_block_product(a, b, i, end, block, ar, c.row_map.data() + i + 1);
+        for (; i < end; ++i) {
+          arena_of[static_cast<std::size_t>(i)] = chunk;
+          arena_off[static_cast<std::size_t>(i)] = off;
+          off += c.row_map[static_cast<std::size_t>(i) + 1];
+        }
+        continue;
+      }
       ++ws.stamp;
       ws.touched.clear();
       for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
@@ -175,6 +357,7 @@ CrsMatrix spgemm(const CrsMatrix& a, const CrsMatrix& b) {
         ar.vals.push_back(ws.acc[static_cast<std::size_t>(j)]);
       }
       c.row_map[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(ws.touched.size());
+      ++i;
     }
     g_rows_traversed.fetch_add(hi - lo, std::memory_order_relaxed);
   });
@@ -207,16 +390,18 @@ void spgemm_numeric(const CrsMatrix& a, const CrsMatrix& b, CrsMatrix& c) {
   obs::Span span("spgemm.replay");
   span.arg("rows", a.num_rows);
 
-  // With the product's sparsity known, each row zeroes its accumulator
-  // slots, replays the inner products in the exact entry order of `spgemm`
-  // (so values are bit-identical), and reads the row back off the fixed
-  // column pattern. A's row_map balances the sweep without building a
-  // flop-cost prefix, keeping warm replays allocation-free.
+  // With the product's sparsity known, each row seeds its accumulator
+  // slots with −0.0 (the exact additive identity, so a column whose
+  // products are all −0.0 stays −0.0 as in `spgemm`), replays the inner
+  // products in the exact entry order of `spgemm` (so values are
+  // bit-identical), and reads the row back off the fixed column pattern.
+  // A's row_map balances the sweep without building a flop-cost prefix,
+  // keeping warm replays allocation-free.
   par::balanced_for(a.num_rows, a.row_map.data(), [&](ordinal_t i) {
     Workspace& ws = t_ws;
     ws.ensure(b.num_cols);
     for (offset_t jc = c.row_map[i]; jc < c.row_map[i + 1]; ++jc) {
-      ws.acc[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(jc)])] = 0;
+      ws.acc[static_cast<std::size_t>(c.entries[static_cast<std::size_t>(jc)])] = -0.0;
     }
     for (offset_t ja = a.row_map[i]; ja < a.row_map[i + 1]; ++ja) {
       const ordinal_t k = a.entries[static_cast<std::size_t>(ja)];

@@ -13,7 +13,31 @@
 /// final CRS arrays after the row-length scan (no symbolic/numeric
 /// re-traversal). Work is split across threads in equal-*flop* chunks
 /// under `Schedule::EdgeBalanced` (see `parallel/balanced_for.hpp`), so a
-/// hub row of a skewed input no longer serializes a whole thread's sweep.
+/// hub row of a skewed input no longer serializes a whole thread's sweep,
+/// and the flop total lets a short but heavy product (a few hundred dense
+/// coarse rows) fork under every schedule.
+///
+/// Each row takes one of two accumulation paths, chosen from its flop
+/// count Σ_{k∈A(i,:)} deg_B(k) alone:
+///  - *stamp* (flops < `b.num_cols`): a stamp-cleared accumulator whose
+///    first product per column assigns and later ones add; the touched
+///    columns are sorted.
+///  - *dense* (flops ≥ `b.num_cols`, so the O(nc) accumulator costs no more
+///    than the flops): runs of consecutive dense rows form blocks of
+///    accumulators totalling about 1 MB. Every accumulator is seeded with
+///    −0.0, the exact IEEE additive identity (−0.0 + x == x bitwise for
+///    every x), so adding every product reproduces the stamp path's
+///    assign-then-add bit for bit. The block's A entries are bucketed by
+///    k, and each row of B is streamed once per block into every block row
+///    that references it, in ascending k — each output still sums its
+///    products in its row's own order. Rows are emitted by scanning the
+///    columns in order, with no sort.
+///
+/// Contract: for any thread count, schedule or path, `spgemm` is bitwise
+/// identical to the textbook row-by-row product (first product assigns,
+/// later ones add in A-then-B entry order), signed zeros included: a
+/// column whose products are all −0.0 is −0.0, and an exact cancellation
+/// stays a structural entry. `spgemm_numeric` replays the same values.
 
 #include <cstdint>
 #include <span>
@@ -29,7 +53,8 @@ namespace parmis::graph {
 /// Value-only replay of C = A * B into an existing product: `c` must hold
 /// the exact sparsity `spgemm(a, b)` would produce (same row_map/entries);
 /// only `c.values` is rewritten, in the same per-row accumulation order as
-/// `spgemm`, so the values are bit-identical to a fresh product. Performs
+/// `spgemm` from the same −0.0 seed, so the values are bit-identical to a
+/// fresh product, signs of zero included. Performs
 /// zero heap allocations on warm calls — the kernel behind warm multilevel
 /// (Galerkin) rebuilds when matrix values change but structure is fixed.
 void spgemm_numeric(const CrsMatrix& a, const CrsMatrix& b, CrsMatrix& c);

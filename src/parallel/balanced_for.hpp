@@ -71,12 +71,29 @@ Index balanced_chunk_bound(Index n, const Cost* prefix, int nchunks, int t) {
   return static_cast<Index>(it - prefix);
 }
 
+/// True when a loop over `[0, n)` with cost prefix `prefix` (may be null)
+/// is worth a parallel region: it has at least `parallel_for_grain`
+/// iterations, or its total cost reaches `parallel_work_grain`. A short
+/// loop with light (or unknown) cost runs serially.
+template <typename Index, typename Cost>
+bool worth_forking(Index n, const Cost* prefix) {
+  if (static_cast<std::int64_t>(n) >= parallel_for_grain) return true;
+  return prefix != nullptr &&
+         static_cast<std::int64_t>(prefix[n]) - static_cast<std::int64_t>(prefix[0]) >=
+             parallel_work_grain;
+}
+
 /// Execute `f(chunk, begin, end)` over a contiguous, ascending partition of
 /// `[0, n)` into `balanced_chunk_count()` chunks, one chunk per thread.
 /// Boundaries are cost-balanced through `prefix` (see
 /// `balanced_chunk_bound`), or equal-count when `prefix` is null or the
 /// schedule is `Static`. Chunks are disjoint and each runs entirely on one
 /// thread, so per-chunk scratch indexed by the chunk id is race-free.
+///
+/// The loop forks when `worth_forking(n, prefix)`: long loops always, and
+/// short ones whose cost prefix totals at least `parallel_work_grain` (the
+/// few-hundred-row dense products of a coarse Galerkin level). Otherwise
+/// the whole range runs as chunk 0 on the calling thread.
 ///
 /// Two consecutive calls with the same (n, prefix, configuration) produce
 /// identical boundaries — the counting-sort builders rely on this to pair
@@ -90,7 +107,7 @@ void balanced_chunks(Index n, const Cost* prefix, F&& f) {
   // every chunk of a sampled loop records.
   const bool sample_chunks = obs::chunk_sampling_due();
 #ifdef PARMIS_HAVE_OPENMP
-  if (Execution::is_parallel() && static_cast<std::int64_t>(n) >= parallel_for_grain) {
+  if (Execution::is_parallel() && worth_forking(n, prefix)) {
     const int nchunks = balanced_chunk_count();
     const bool by_cost = prefix != nullptr && Execution::schedule() != Schedule::Static;
 #pragma omp parallel num_threads(nchunks)
@@ -138,12 +155,13 @@ void balanced_chunks(Index n, const Cost* prefix, F&& f) {
 /// dynamic scheduling. Iterations must be independent, exactly as for
 /// `parallel_for`. Pass the cost prefix of the per-iteration work — for a
 /// loop that walks row `i` of a CRS structure, that is the `row_map`
-/// itself. A null `prefix` degrades EdgeBalanced to Static.
+/// itself. A null `prefix` degrades EdgeBalanced to Static. Every schedule
+/// forks under the same `worth_forking` rule as `balanced_chunks`.
 template <typename Index, typename Cost, typename F>
 void balanced_for(Index n, const Cost* prefix, F&& f) {
   if (n <= 0) return;
 #ifdef PARMIS_HAVE_OPENMP
-  if (Execution::is_parallel() && static_cast<std::int64_t>(n) >= parallel_for_grain &&
+  if (Execution::is_parallel() && worth_forking(n, prefix) &&
       Execution::schedule() == Schedule::Dynamic) {
     const int nt = Execution::num_threads();
 #pragma omp parallel for schedule(dynamic, 64) num_threads(nt)
@@ -186,9 +204,11 @@ std::int64_t balanced_count_if(Index n, const Cost* prefix, Pred&& pred) {
       n, prefix, [&](Index i) -> std::int64_t { return pred(i) ? 1 : 0; });
 }
 
-/// True when the active configuration will consult a cost prefix — the
-/// guard kernels use to skip *building* one (a Static or serial run never
-/// reads it).
+/// True when the active configuration balances chunks by a cost prefix —
+/// the guard kernels use to skip *building* one (a Static or serial run
+/// never balances by it). A kernel whose loop may be short but heavy can
+/// still pass a prefix under Static: `balanced_chunks` then reads only its
+/// total, to decide whether to fork.
 inline bool schedule_uses_costs() {
   return Execution::schedule() != Schedule::Static && Execution::is_parallel();
 }

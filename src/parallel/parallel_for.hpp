@@ -11,9 +11,17 @@
 namespace parmis::par {
 
 /// Minimum trip count before the OpenMP backend spawns a parallel region.
-/// Short loops run serially; this threshold never changes results because
+/// Short loops run serially, unless a cost-aware loop (`balanced_chunks`,
+/// `balanced_for`) is told its iterations are heavy: see
+/// `parallel_work_grain`. Neither threshold ever changes results because
 /// every functor used in this library is race-free by construction.
 inline constexpr std::int64_t parallel_for_grain = 512;
+
+/// Total cost (in the units of a cost prefix, e.g. nonzeros or flops) at
+/// which a cost-aware loop forks even when it has fewer than
+/// `parallel_for_grain` iterations: a few hundred rows of a dense coarse
+/// operator carry millions of flops.
+inline constexpr std::int64_t parallel_work_grain = std::int64_t{1} << 16;
 
 /// Execute `f(i)` for every `i` in `[0, n)` with an explicit parallel
 /// threshold: loops shorter than `grain` run serially. Use a small grain

@@ -2,15 +2,18 @@
 /// \brief Tests for the cost-aware scheduling layer: chunk-boundary
 /// properties of `balanced_chunk_bound`, exactly-once coverage of
 /// `balanced_for` under every schedule, the balanced reductions, the
-/// single-pass SpGEMM (equivalence against the historical two-pass
-/// reference plus the traversal-counter regression guard), and the
-/// parallel transpose.
+/// single-pass SpGEMM (bitwise equivalence of its stamp and dense-row
+/// paths against the historical two-pass reference plus the
+/// traversal-counter regression guard), and the parallel transpose.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mis2.hpp"
@@ -19,10 +22,17 @@
 #include "graph/rgg.hpp"
 #include "graph/spgemm.hpp"
 #include "graph/spmv.hpp"
+#include "multilevel/builder.hpp"
+#include "multilevel/hierarchy.hpp"
 #include "parallel/balanced_for.hpp"
 #include "parallel/context.hpp"
 #include "parallel/execution.hpp"
+#include "random/hash.hpp"
 #include "test_utils.hpp"
+
+#ifdef PARMIS_HAVE_OPENMP
+#include <omp.h>
+#endif
 
 namespace parmis {
 namespace {
@@ -179,6 +189,111 @@ TEST(BalancedChunks, ChunkIdsWithinCountAndDisjoint) {
   EXPECT_TRUE(std::is_sorted(owner.begin(), owner.end()));
 }
 
+/// (lo, hi) of every chunk `balanced_chunks` ran, indexed by chunk id;
+/// (-1, -1) for a chunk that never ran.
+std::vector<std::pair<ordinal_t, ordinal_t>> chunks_run(ordinal_t n, const offset_t* prefix) {
+  std::vector<std::pair<ordinal_t, ordinal_t>> run(
+      static_cast<std::size_t>(par::balanced_chunk_count()), {-1, -1});
+  par::balanced_chunks(n, prefix, [&](int chunk, ordinal_t lo, ordinal_t hi) {
+    run[static_cast<std::size_t>(chunk)] = {lo, hi};
+  });
+  return run;
+}
+
+TEST(BalancedChunks, ShortHeavyLoopForksOnCost) {
+  // 300 rows (below parallel_for_grain) carrying far more than
+  // parallel_work_grain: the shape of a Galerkin product onto a coarse
+  // level of a few hundred aggregates. It must split into the same chunks
+  // balanced_chunk_bound describes, not run on one thread.
+  std::vector<offset_t> costs(300, 1000);
+  costs[7] = 50000;
+  const std::vector<offset_t> prefix = prefix_of(costs);
+  const ordinal_t n = static_cast<ordinal_t>(costs.size());
+  static_assert(300 < par::parallel_for_grain);
+  ASSERT_GE(prefix.back(), par::parallel_work_grain);
+
+  ScopedExecution scope(Backend::OpenMP, 3, Schedule::EdgeBalanced);
+  const int nchunks = par::balanced_chunk_count();
+  const std::vector<std::pair<ordinal_t, ordinal_t>> run = chunks_run(n, prefix.data());
+  int nonempty = 0;
+  for (int c = 0; c < nchunks; ++c) {
+    const ordinal_t lo = par::balanced_chunk_bound(n, prefix.data(), nchunks, c);
+    const ordinal_t hi = par::balanced_chunk_bound(n, prefix.data(), nchunks, c + 1);
+    if (lo < hi) {
+      ++nonempty;
+      EXPECT_EQ(run[static_cast<std::size_t>(c)], std::make_pair(lo, hi)) << c;
+    } else {
+      EXPECT_EQ(run[static_cast<std::size_t>(c)], std::make_pair(-1, -1)) << c;
+    }
+  }
+#ifdef PARMIS_HAVE_OPENMP
+  EXPECT_EQ(nchunks, 3);
+  EXPECT_GT(nonempty, 1);
+#endif
+
+  // Static keeps its equal-count boundaries but forks by the same rule.
+  ScopedExecution statik(Backend::OpenMP, 3, Schedule::Static);
+  const std::vector<std::pair<ordinal_t, ordinal_t>> even = chunks_run(n, prefix.data());
+  for (int c = 0; c < nchunks; ++c) {
+    EXPECT_EQ(even[static_cast<std::size_t>(c)],
+              std::make_pair(static_cast<ordinal_t>(n * c / nchunks),
+                             static_cast<ordinal_t>(n * (c + 1) / nchunks)))
+        << c;
+  }
+}
+
+TEST(BalancedChunks, ShortLightLoopStaysOnOneChunk) {
+  const std::vector<offset_t> prefix = prefix_of(std::vector<offset_t>(300, 1));
+  ASSERT_LT(prefix.back(), par::parallel_work_grain);
+  ScopedExecution scope(Backend::OpenMP, 3, Schedule::EdgeBalanced);
+  const std::vector<std::pair<ordinal_t, ordinal_t>> run = chunks_run(300, prefix.data());
+  EXPECT_EQ(run[0], std::make_pair(0, 300));
+  for (std::size_t c = 1; c < run.size(); ++c) EXPECT_EQ(run[c], std::make_pair(-1, -1)) << c;
+}
+
+TEST(BalancedChunks, NullPrefixForksOnTripCountOnly) {
+  ScopedExecution scope(Backend::OpenMP, 3, Schedule::EdgeBalanced);
+  const offset_t* none = nullptr;
+  const std::vector<std::pair<ordinal_t, ordinal_t>> shorter = chunks_run(300, none);
+  EXPECT_EQ(shorter[0], std::make_pair(0, 300));
+  for (std::size_t c = 1; c < shorter.size(); ++c) {
+    EXPECT_EQ(shorter[c], std::make_pair(-1, -1)) << c;
+  }
+  const int nchunks = par::balanced_chunk_count();
+  const std::vector<std::pair<ordinal_t, ordinal_t>> longer = chunks_run(6000, none);
+  for (int c = 0; c < nchunks; ++c) {
+    EXPECT_EQ(longer[static_cast<std::size_t>(c)],
+              std::make_pair(static_cast<ordinal_t>(6000 * c / nchunks),
+                             static_cast<ordinal_t>(6000 * (c + 1) / nchunks)))
+        << c;
+  }
+}
+
+TEST(BalancedForDynamic, ForksByTheSameCostRule) {
+  const std::vector<offset_t> heavy = prefix_of(std::vector<offset_t>(300, 1000));
+  const std::vector<offset_t> light = prefix_of(std::vector<offset_t>(300, 1));
+  ScopedExecution scope(Backend::OpenMP, 3, Schedule::Dynamic);
+  for (const auto* prefix : {&heavy, &light}) {
+    std::vector<int> hits(300, 0);
+    std::vector<int> in_region(300, 0);
+    par::balanced_for(ordinal_t{300}, prefix->data(), [&](ordinal_t i) {
+      ++hits[static_cast<std::size_t>(i)];
+#ifdef PARMIS_HAVE_OPENMP
+      in_region[static_cast<std::size_t>(i)] = omp_in_parallel() ? 1 : 0;
+#endif
+    });
+    EXPECT_TRUE(std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; }));
+    const bool forked = std::all_of(in_region.begin(), in_region.end(), [](int r) { return r; });
+    const bool serial = std::none_of(in_region.begin(), in_region.end(), [](int r) { return r; });
+#ifdef PARMIS_HAVE_OPENMP
+    EXPECT_TRUE(prefix == &heavy ? forked : serial);
+#else
+    EXPECT_TRUE(serial);
+    (void)forked;
+#endif
+  }
+}
+
 TEST(BalancedReduce, IntegralSumMatchesSerialUnderAllConfigs) {
   std::vector<offset_t> costs(30000);
   for (std::size_t i = 0; i < costs.size(); ++i) {
@@ -262,20 +377,46 @@ graph::CrsMatrix skewed_test_matrix() {
   return graph::laplacian_matrix(g, 0.5);
 }
 
-TEST(SpgemmFused, MatchesTwoPassReferenceBitExactly) {
-  const graph::CrsMatrix a = skewed_test_matrix();
-  const graph::CrsMatrix ref = spgemm_two_pass_reference(a, a);
+/// Bitwise equality of two products: structure, then every value's bit
+/// pattern (so −0.0 ≠ +0.0, unlike `operator==` on doubles).
+::testing::AssertionResult same_bits(const graph::CrsMatrix& c, const graph::CrsMatrix& ref) {
+  if (c.num_rows != ref.num_rows || c.num_cols != ref.num_cols) {
+    return ::testing::AssertionFailure() << "shapes differ";
+  }
+  if (c.row_map != ref.row_map) return ::testing::AssertionFailure() << "row_map differs";
+  if (c.entries != ref.entries) return ::testing::AssertionFailure() << "entries differ";
+  if (c.values.size() != ref.values.size()) {
+    return ::testing::AssertionFailure() << "value counts differ";
+  }
+  for (std::size_t e = 0; e < c.values.size(); ++e) {
+    if (std::memcmp(&c.values[e], &ref.values[e], sizeof(scalar_t)) != 0) {
+      return ::testing::AssertionFailure() << "value bits differ at entry " << e << ": "
+                                           << c.values[e] << " vs " << ref.values[e];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// `spgemm(a, b)` under Serial, OpenMP 3 and OpenMP all, times Static,
+/// EdgeBalanced and Dynamic, each bitwise equal to the two-pass reference.
+void expect_spgemm_matches_reference(const graph::CrsMatrix& a, const graph::CrsMatrix& b,
+                                     const std::string& what) {
+  const graph::CrsMatrix ref = spgemm_two_pass_reference(a, b);
   for (Schedule s : {Schedule::Static, Schedule::EdgeBalanced, Schedule::Dynamic}) {
     const std::pair<Backend, int> cfgs[] = {
         {Backend::Serial, 1}, {Backend::OpenMP, 3}, {Backend::OpenMP, 0}};
     for (auto [backend, threads] : cfgs) {
       ScopedExecution scope(backend, threads, s);
-      const graph::CrsMatrix c = graph::spgemm(a, a);
-      EXPECT_EQ(c.row_map, ref.row_map);
-      EXPECT_EQ(c.entries, ref.entries);
-      EXPECT_EQ(c.values, ref.values);  // bit-exact: same accumulation order
+      EXPECT_TRUE(same_bits(graph::spgemm(a, b), ref))
+          << what << " schedule=" << static_cast<int>(s)
+          << " backend=" << static_cast<int>(backend) << " threads=" << threads;
     }
   }
+}
+
+TEST(SpgemmFused, MatchesTwoPassReferenceBitExactly) {
+  const graph::CrsMatrix a = skewed_test_matrix();
+  expect_spgemm_matches_reference(a, a, "A*A");  // same accumulation order
 }
 
 TEST(SpgemmFused, SymbolicMatchesNumericPattern) {
@@ -301,6 +442,175 @@ TEST(SpgemmFused, SinglePassTraversalCounter) {
     (void)graph::spgemm_symbolic(a, a);
     EXPECT_EQ(graph::spgemm_rows_traversed(), a.num_rows);
   }
+}
+
+// ---------------------------------------------------- dense-row SpGEMM
+
+/// CRS matrix from explicit rows of (column, value) pairs, sorted by column.
+graph::CrsMatrix matrix_of_rows(ordinal_t ncols,
+                                std::vector<std::vector<std::pair<ordinal_t, scalar_t>>> rows) {
+  graph::CrsMatrix m;
+  m.num_rows = static_cast<ordinal_t>(rows.size());
+  m.num_cols = ncols;
+  m.row_map.assign(1, 0);
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [col, val] : row) {
+      m.entries.push_back(col);
+      m.values.push_back(val);
+    }
+    m.row_map.push_back(static_cast<offset_t>(m.entries.size()));
+  }
+  return m;
+}
+
+/// Random sparse matrix whose row `i` has `degree(i)` distinct columns.
+/// Values mix general doubles with the ones dense accumulation must get
+/// exactly right: explicit ±0.0 (signed-zero products) and ±1.0 (exact
+/// cancellations).
+template <typename Degree>
+graph::CrsMatrix random_operand(ordinal_t nrows, ordinal_t ncols, Degree&& degree,
+                                std::uint64_t seed) {
+  rng::SplitMix64 gen(seed);
+  std::vector<std::vector<std::pair<ordinal_t, scalar_t>>> rows(
+      static_cast<std::size_t>(nrows));
+  std::vector<char> used(static_cast<std::size_t>(ncols), 0);
+  for (ordinal_t i = 0; i < nrows; ++i) {
+    const ordinal_t d = std::min<ordinal_t>(degree(i), ncols);
+    auto& row = rows[static_cast<std::size_t>(i)];
+    while (static_cast<ordinal_t>(row.size()) < d) {
+      const ordinal_t col = static_cast<ordinal_t>(gen.next() % static_cast<std::uint64_t>(ncols));
+      if (used[static_cast<std::size_t>(col)]) continue;
+      used[static_cast<std::size_t>(col)] = 1;
+      const std::uint64_t kind = gen.next() % 8;
+      const scalar_t v = kind == 0   ? 0.0
+                         : kind == 1 ? -0.0
+                         : kind == 2 ? 1.0
+                         : kind == 3 ? -1.0
+                                     : gen.next_double() * 4.0 - 2.0;
+      row.emplace_back(col, v);
+    }
+    for (const auto& e : row) used[static_cast<std::size_t>(e.first)] = 0;
+  }
+  return matrix_of_rows(ncols, std::move(rows));
+}
+
+std::uint64_t bits_of(scalar_t v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+TEST(SpgemmDense, SignedZeroProductsKeepTheirSign) {
+  // B rows are full (4 columns), so every nonempty A row has flops >= nc
+  // and takes the dense path.
+  const graph::CrsMatrix b = matrix_of_rows(
+      4, {{{0, 0.0}, {1, 0.0}, {2, 1.0}, {3, -0.0}},
+          {{0, 0.0}, {1, -0.0}, {2, -0.0}, {3, 1.0}},
+          {{0, 1.0}, {1, 2.0}, {2, 3.0}, {3, 4.0}}});
+  const graph::CrsMatrix a =
+      matrix_of_rows(3, {{{0, -1.0}, {1, 2.0}}, {{2, -0.0}}, {{0, -1.0}}});
+  const graph::CrsMatrix ref = spgemm_two_pass_reference(a, b);
+  expect_spgemm_matches_reference(a, b, "signed zeros");
+
+  const graph::CrsMatrix c = graph::spgemm(a, b);
+  ASSERT_EQ(c.row_map, (std::vector<offset_t>{0, 4, 8, 12}));
+  // Row 0: (-1)(0) + (2)(0) = -0 + +0 = +0; (-1)(0) + (2)(-0) = -0 + -0 = -0.
+  EXPECT_EQ(bits_of(c.values[0]), bits_of(0.0));
+  EXPECT_EQ(bits_of(c.values[1]), bits_of(-0.0));
+  EXPECT_EQ(c.values[2], -1.0);
+  EXPECT_EQ(c.values[3], 2.0);
+  // Row 1: every product is (-0)(positive) = -0, and each stays structural.
+  for (std::size_t e = 4; e < 8; ++e) EXPECT_EQ(bits_of(c.values[e]), bits_of(-0.0)) << e;
+  // Row 2: a single product per column, copied verbatim: -0, -0, -1, +0.
+  EXPECT_EQ(bits_of(c.values[8]), bits_of(-0.0));
+  EXPECT_EQ(bits_of(c.values[9]), bits_of(-0.0));
+  EXPECT_EQ(bits_of(c.values[11]), bits_of(0.0));
+}
+
+TEST(SpgemmDense, ExactCancellationsStayStructural) {
+  const graph::CrsMatrix b =
+      matrix_of_rows(3, {{{0, 1.0}, {1, 0.5}, {2, 3.0}}, {{0, 1.0}, {1, 0.5}, {2, 3.0}}});
+  const graph::CrsMatrix a = matrix_of_rows(2, {{{0, 1.0}, {1, -1.0}}, {{0, -2.0}, {1, 2.0}}});
+  expect_spgemm_matches_reference(a, b, "cancellations");
+  const graph::CrsMatrix c = graph::spgemm(a, b);
+  ASSERT_EQ(c.row_map, (std::vector<offset_t>{0, 3, 6}));
+  EXPECT_EQ(c.entries, (std::vector<ordinal_t>{0, 1, 2, 0, 1, 2}));
+  for (std::size_t e = 0; e < 6; ++e) EXPECT_EQ(bits_of(c.values[e]), bits_of(0.0)) << e;
+}
+
+TEST(SpgemmDense, FlopCountsAroundTheOutputWidth) {
+  // nc = 64. B row 0 has 63 entries, row 1 one, row 2 two, so A rows
+  // {0}, {0,1}, {0,2} have flops nc-1, nc and nc+1 — either side of the
+  // dense threshold — and overlap in columns so the sums are real.
+  constexpr ordinal_t nc = 64;
+  std::vector<std::vector<std::pair<ordinal_t, scalar_t>>> brows(3);
+  for (ordinal_t j = 0; j < nc - 1; ++j) brows[0].emplace_back(j, 0.25 * (j % 7) - 0.5);
+  brows[1] = {{63, 1.5}};
+  brows[2] = {{5, -0.75}, {63, 2.0}};
+  const graph::CrsMatrix b = matrix_of_rows(nc, brows);
+  const graph::CrsMatrix a = matrix_of_rows(
+      3, {{{0, 1.25}}, {{0, -3.0}, {1, 0.5}}, {{0, 0.1}, {2, 7.0}}, {{1, 2.0}}, {}});
+  expect_spgemm_matches_reference(a, b, "flops around nc");
+}
+
+TEST(SpgemmDense, DenseRowsInterleavedWithSparseOnes) {
+  // Rows alternate between runs of dense rows (flops well above nc),
+  // single sparse rows and empty rows, over enough rows that the OpenMP
+  // configurations cut chunks inside dense runs.
+  constexpr ordinal_t inner = 300;
+  constexpr ordinal_t nc = 150;
+  const graph::CrsMatrix b = random_operand(
+      inner, nc, [](ordinal_t k) { return 1 + k % 11; }, 11);
+  const graph::CrsMatrix a = random_operand(
+      2000, inner,
+      [](ordinal_t i) -> ordinal_t {
+        if (i % 13 == 5) return 0;
+        if (i % 7 == 3) return 2;
+        return 20 + i % 40;
+      },
+      12);
+  expect_spgemm_matches_reference(a, b, "interleaved");
+}
+
+TEST(SpgemmDense, BlocksEndingAtChunkBoundaries) {
+  // nc = 2^15 makes each dense block 2^17 / 2^15 = 4 rows. 24 equal-cost
+  // dense rows split into 3 chunks of 8 (blocks end exactly on the chunk
+  // boundaries) and, with more threads, into chunks that end mid-block.
+  constexpr ordinal_t nc = ordinal_t{1} << 15;
+  constexpr ordinal_t inner = 40;
+  const graph::CrsMatrix b = random_operand(
+      inner, nc, [](ordinal_t) { return nc / 8; }, 21);
+  const graph::CrsMatrix a = random_operand(
+      24, inner, [](ordinal_t) { return 10; }, 22);
+  for (ordinal_t i = 0; i < a.num_rows; ++i) {
+    offset_t flops = 0;
+    for (ordinal_t k : a.row(i)) flops += b.row_map[k + 1] - b.row_map[k];
+    ASSERT_GE(flops, nc) << "row " << i << " must be dense";
+  }
+  expect_spgemm_matches_reference(a, b, "blocks at chunk boundaries");
+}
+
+TEST(SpgemmDense, GalerkinShapesOfAPowerLawAggregation) {
+  // A real smoothed-aggregation setup whose first coarse level has fewer
+  // than 512 aggregates: A·P̂ and A·P are mostly dense rows over a narrow
+  // output, R·(AP) is a short, heavy product of dense rows.
+  const graph::CrsGraph g = graph::power_law_graph(5000, 2.2, 4, 200, 7);
+  const graph::CrsMatrix a = graph::laplacian_matrix(g, 1.0);
+  multilevel::Options opts;
+  opts.ctx = Context{};
+  opts.ctx->backend = Backend::Serial;
+  const multilevel::Builder builder(opts);
+  multilevel::HierarchyHandle h;
+  const std::vector<multilevel::OperatorLevel>& ops = builder.build_galerkin(a, h);
+  ASSERT_GE(ops.size(), 2u);
+  ASSERT_GT(ops[0].num_aggregates, 0);
+  ASSERT_LT(ops[0].num_aggregates, par::parallel_for_grain);
+  const auto& ws = multilevel::galerkin_workspace(h).front();
+  expect_spgemm_matches_reference(ops[0].a, ws.phat, "A*Phat");
+  expect_spgemm_matches_reference(ops[0].a, ops[0].p, "A*P");
+  expect_spgemm_matches_reference(ops[0].r, ws.apc, "R*(AP)");
 }
 
 TEST(TransposeParallel, MatchesSerialReferenceAcrossConfigs) {

@@ -9,15 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "check/digest.hpp"
 #include "core/coarsen.hpp"
 #include "core/coarsener.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/spgemm.hpp"
 #include "multilevel/builder.hpp"
+#include "parallel/parallel_for.hpp"
 #include "solver/amg.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/vector_ops.hpp"
@@ -54,6 +58,26 @@ TEST(SpgemmNumeric, ReplayMatchesColdProduct) {
   // Replaying the original values restores the original product exactly.
   graph::spgemm_numeric(a, b, c);
   EXPECT_EQ(c.values, cold);
+}
+
+TEST(SpgemmNumeric, ReplayKeepsNegativeZero) {
+  // A = [-1], B = [0.0]: the cold product's only value is (-1)(0.0) = -0.0.
+  // A replay that seeded its accumulator with +0.0 would return
+  // +0.0 + -0.0 = +0.0 instead.
+  graph::CrsMatrix a;
+  a.num_rows = a.num_cols = 1;
+  a.row_map = {0, 1};
+  a.entries = {0};
+  a.values = {-1.0};
+  graph::CrsMatrix b = a;
+  b.values = {0.0};
+  graph::CrsMatrix c = graph::spgemm(a, b);
+  ASSERT_EQ(c.values.size(), 1u);
+  EXPECT_TRUE(std::signbit(c.values[0]));
+  c.values[0] = 1.0;
+  graph::spgemm_numeric(a, b, c);
+  EXPECT_EQ(c.values[0], 0.0);
+  EXPECT_TRUE(std::signbit(c.values[0])) << "replay lost the sign of -0.0";
 }
 
 TEST(SpgemmNumeric, MatrixAddAndTransposeReplay) {
@@ -339,6 +363,61 @@ TEST(BuilderGalerkin, WarmRebuildIsAllocationFreeAndMatchesColdBuild) {
     expect_same_matrix(back[l].a, expect[l].a, "restored a");
   }
   EXPECT_EQ(h.scratch_bytes(), warm);
+}
+
+TEST(BuilderGalerkin, DenseCoarseLevelBitIdenticalAcrossThreads) {
+  // A power-law Laplacian whose level 1 has fewer than 512 rows and is
+  // dense: its triple products take the dense-row SpGEMM path and fork on
+  // cost, not row count. Every level's operator must come out bitwise
+  // equal under Serial and OpenMP 2/3/4, and a warm rebuild must equal the
+  // cold build of the same values.
+  const graph::CrsGraph g = graph::power_law_graph(5000, 2.2, 4, 200, 7);
+  const graph::CrsMatrix a = graph::laplacian_matrix(g, 1.0);
+  graph::CrsMatrix a2 = a;
+  for (scalar_t& v : a2.values) v *= 1.5;
+
+  auto level_digests = [](const std::vector<OperatorLevel>& ops) {
+    std::vector<std::uint64_t> d;
+    for (const OperatorLevel& l : ops) {
+      d.push_back(check::digest(l.a));
+      d.push_back(check::digest(l.p));
+      d.push_back(check::digest(l.r));
+    }
+    return d;
+  };
+
+  std::vector<std::uint64_t> reference;
+  const std::pair<par::Backend, int> cfgs[] = {{par::Backend::Serial, 1},
+                                               {par::Backend::OpenMP, 2},
+                                               {par::Backend::OpenMP, 3},
+                                               {par::Backend::OpenMP, 4}};
+  for (auto [backend, threads] : cfgs) {
+    Options opts;
+    opts.ctx = Context{};
+    opts.ctx->backend = backend;
+    opts.ctx->num_threads = threads;
+    const Builder builder(opts);
+    HierarchyHandle h;
+    const std::vector<OperatorLevel>& ops = builder.build_galerkin(a, h);
+    ASSERT_GE(ops.size(), 2u);
+    const graph::CrsMatrix& coarse = ops[1].a;
+    ASSERT_LT(coarse.num_rows, par::parallel_for_grain);
+    ASSERT_GE(2 * coarse.num_entries(),
+              static_cast<offset_t>(coarse.num_rows) * coarse.num_rows)
+        << "level 1 should be at least half dense";
+    const std::vector<std::uint64_t> cold = level_digests(ops);
+    if (reference.empty()) {
+      reference = cold;
+    } else {
+      EXPECT_EQ(cold, reference) << "backend=" << static_cast<int>(backend)
+                                 << " threads=" << threads;
+    }
+
+    const std::vector<std::uint64_t> rebuilt = level_digests(builder.rebuild_galerkin(a2, h));
+    HierarchyHandle fresh;
+    EXPECT_EQ(rebuilt, level_digests(builder.build_galerkin(a2, fresh)))
+        << "warm rebuild differs from the cold build, threads=" << threads;
+  }
 }
 
 TEST(BuilderGalerkin, RebuildRejectsStructureMismatch) {
